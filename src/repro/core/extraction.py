@@ -23,7 +23,7 @@ from typing import Optional
 from repro.core.config import DetectorConfig, ExtractionConfig
 from repro.errors import ReproError
 from repro.geometry.dissect import cut_to_max_size
-from repro.geometry.rect import Rect, bounding_box
+from repro.geometry.rect import Rect
 from repro.layout.clip import Clip, ClipSpec
 from repro.layout.layout import Layout
 from repro.obs import trace
@@ -57,22 +57,48 @@ class ExtractionReport:
 def _meets_distribution(
     clip: Clip, config: ExtractionConfig
 ) -> tuple[bool, str]:
-    """Check the Section III-E polygon-distribution requirements."""
-    core_rects = clip.core_rects()
-    if len(core_rects) < config.min_polygon_count:
+    """Check the Section III-E polygon-distribution requirements.
+
+    One pass over the clip's rects gathers the core polygon count, the
+    covered core area and the geometry bounding box; the checks then run
+    in the order count, density, boundary, so each rejected clip is
+    counted under its first failing requirement.
+    """
+    core = clip.core
+    cx0, cy0, cx1, cy1 = core.x0, core.y0, core.x1, core.y1
+    count = covered = 0
+    rects = clip.rects
+    if rects:
+        first = rects[0]
+        bx0, by0, bx1, by1 = first.x0, first.y0, first.x1, first.y1
+    for rect in rects:
+        x0, y0, x1, y1 = rect.x0, rect.y0, rect.x1, rect.y1
+        if x0 < bx0:
+            bx0 = x0
+        if y0 < by0:
+            by0 = y0
+        if x1 > bx1:
+            bx1 = x1
+        if y1 > by1:
+            by1 = y1
+        w = (x1 if x1 < cx1 else cx1) - (x0 if x0 > cx0 else cx0)
+        h = (y1 if y1 < cy1 else cy1) - (y0 if y0 > cy0 else cy0)
+        if w > 0 and h > 0:
+            count += 1
+            covered += w * h
+    if count < config.min_polygon_count:
         return False, "count"
-    density = clip.core_density()
+    density = covered / core.area
     if not config.min_core_density <= density <= config.max_core_density:
         return False, "density"
-    box = bounding_box(clip.rects)
-    if box is None:
+    if not rects:
         return False, "count"
     window = clip.window
     worst = max(
-        box.x0 - window.x0,
-        window.x1 - box.x1,
-        box.y0 - window.y0,
-        window.y1 - box.y1,
+        bx0 - window.x0,
+        window.x1 - bx1,
+        by0 - window.y0,
+        window.y1 - by1,
     )
     if worst > config.max_boundary_distance:
         return False, "boundary"

@@ -37,8 +37,12 @@ GATED_OUT = -1e9
 
 
 def core_string_key(clip: Clip) -> tuple:
-    """D8-canonical directional-string key of a clip's core region."""
-    return canonical_string_key(clip.core_rects(), clip.core)
+    """D8-canonical directional-string key of a clip's core region.
+
+    The string lattice keeps only geometry inside the window it is
+    given, so the clip's rects go in whole, with no clipped copy.
+    """
+    return canonical_string_key(clip.rects, clip.core)
 
 #: Numeric labels used throughout: +1 hotspot, -1 nonhotspot.
 HOTSPOT, NON_HOTSPOT = 1, -1

@@ -180,17 +180,25 @@ def generate_testing_layout(
     spec: ClipSpec = ICCAD_SPEC,
     rng: Optional[np.random.Generator] = None,
 ) -> TestingLayout:
-    """Generate the testing layout of one benchmark."""
+    """Generate the testing layout of one benchmark.
+
+    ``rng`` defaults to a generator seeded with ``config.seed + 1000``.
+    When the site grid does not fit, the window grows and the layout is
+    rebuilt from the generator's state as the caller passed it, so the
+    layout depends only on that state and the config.
+    """
     rng = rng or np.random.default_rng(config.seed + 1_000)
+    start = rng.bit_generator.state
     side = int(config.side_um * 1000 * (scale**0.5))
     hotspot_count = max(2, round(config.test_hotspots * scale))
     decoy_count = max(1, round(config.test_decoys * scale))
     # Small scales shrink the area (by sqrt) faster than the site count
     # (linear); grow the window until the site grid fits.
     while True:
+        rng.bit_generator.state = start
         try:
             return build_testing_layout(
-                np.random.default_rng(config.seed + 1_000),
+                rng,
                 spec,
                 Rect(0, 0, side, side),
                 hotspot_count=hotspot_count,

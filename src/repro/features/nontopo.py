@@ -148,15 +148,37 @@ def extract_nontopo_features(
     exactly-derived, so the two modes agree bit for bit.
     """
     fast = compute == "fast"
+    return nontopo_from_tilings(
+        rects,
+        window,
+        horizontal_tiling(rects, window, fast=fast),
+        vertical_tiling(rects, window, fast=fast),
+        compute=compute,
+    )
+
+
+def nontopo_from_tilings(
+    rects: Sequence[Rect],
+    window: Rect,
+    h_tiling: Tiling,
+    v_tiling: Tiling,
+    *,
+    compute: str = "exact",
+) -> NonTopoFeatures:
+    """:func:`extract_nontopo_features` over tilings already built.
+
+    ``h_tiling``/``v_tiling`` must be the horizontal and vertical tilings
+    of ``rects`` in ``window`` (as :func:`repro.mtcg.features.extract_tiled_features`
+    returns them); the result is then identical to
+    :func:`extract_nontopo_features`.
+    """
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if fast:
+    if compute == "fast":
         from repro.mtcg.fastscan import corner_and_touch_counts as _fast_counts
 
         corners, touches = _fast_counts(clipped, window)
     else:
         corners, touches = corner_and_touch_counts(clipped, window)
-    h_tiling = horizontal_tiling(clipped, window, fast=fast)
-    v_tiling = vertical_tiling(clipped, window, fast=fast)
     default = max(window.width, window.height)
     return NonTopoFeatures(
         corner_count=corners,

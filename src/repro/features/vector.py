@@ -27,12 +27,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.features.nontopo import NONTOPO_SLOTS, NonTopoFeatures, extract_nontopo_features
+from repro.features.nontopo import NONTOPO_SLOTS, NonTopoFeatures, nontopo_from_tilings
 from repro.mtcg.rules import RULE_RECT_SLOTS, FeatureType, RuleRect
 from repro.geometry.rect import Rect
 from repro.geometry.transform import canonical_form
 from repro.layout.clip import Clip
-from repro.mtcg.features import extract_topological_features
+from repro.mtcg.features import extract_tiled_features
 from repro.obs import trace
 
 #: Fixed serialisation order of the four feature types inside a vector.
@@ -197,15 +197,16 @@ class FeatureExtractor:
         rects, window = self._region_of(clip)
         if self.config.canonical_orientation and rects:
             _, rects = canonical_form(rects, window)
-        rules = tuple(
-            extract_topological_features(
-                rects,
-                window,
-                diagonal_max_gap=self.config.diagonal_max_gap,
-                compute=compute,
-            )
+        features, h_tiling, v_tiling = extract_tiled_features(
+            rects,
+            window,
+            diagonal_max_gap=self.config.diagonal_max_gap,
+            compute=compute,
         )
-        nontopo = extract_nontopo_features(rects, window, compute=compute)
+        rules = tuple(features)
+        nontopo = nontopo_from_tilings(
+            rects, window, h_tiling, v_tiling, compute=compute
+        )
         grid: Optional[np.ndarray] = None
         if self.config.include_density_grid:
             resolution = self.config.density_resolution

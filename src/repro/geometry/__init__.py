@@ -6,7 +6,7 @@ density grids — is built from the primitives exported here.
 
 from repro.geometry.point import ORIGIN, Point
 from repro.geometry.polygon import Corner, CornerKind, Edge, Polygon
-from repro.geometry.rect import Rect, bounding_box, total_area, union_area
+from repro.geometry.rect import Rect, any_overlap, bounding_box, total_area, union_area
 from repro.geometry.transform import (
     ALL_ORIENTATIONS,
     Orientation,
@@ -44,6 +44,7 @@ __all__ = [
     "ORIGIN",
     "Point",
     "Rect",
+    "any_overlap",
     "Polygon",
     "Edge",
     "Corner",

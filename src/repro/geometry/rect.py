@@ -11,7 +11,7 @@ non-overlapping rectangle covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
@@ -242,6 +242,38 @@ def union_area(rects: list[Rect]) -> int:
                     area += (cx1 - cx0) * (cy1 - cy0)
                     break
     return area
+
+
+def any_overlap(rects: Sequence[Rect]) -> bool:
+    """Whether any two rectangles share positive area.
+
+    A sorted sweep along one axis: after sorting the spans by their low
+    end, each rectangle is compared only with the ones after it that start
+    before its high end — the only ones it can overlap along that axis —
+    so the other axis decides.  The sweep runs across the rects' short
+    side (along y when they are wider than tall, in total), where the
+    fewest spans overlap.  O(n log n + k) for ``k`` pairs overlapping
+    along the sweep axis, against the n²/2 pairs of an all-pairs scan.
+    Edge- and corner-touching rects do not overlap.
+    """
+    width = height = 0
+    for rect in rects:
+        width += rect.x1 - rect.x0
+        height += rect.y1 - rect.y0
+    if width > height:
+        spans = sorted([(r.y0, r.y1, r.x0, r.x1) for r in rects])
+    else:
+        spans = sorted([(r.x0, r.x1, r.y0, r.y1) for r in rects])
+    n = len(spans)
+    for i in range(n):
+        _, hi, cross_lo, cross_hi = spans[i]
+        for j in range(i + 1, n):
+            other = spans[j]
+            if other[0] >= hi:
+                break
+            if other[2] < cross_hi and cross_lo < other[3]:
+                return True
+    return False
 
 
 def iter_pairs(rects: list[Rect]) -> Iterator[tuple[Rect, Rect]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -20,8 +21,13 @@ import numpy as np
 from repro.errors import LayoutError
 from repro.geometry.dissect import disjoint_cover
 from repro.geometry.grid import density_grid, window_density
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, any_overlap
 from repro.geometry.transform import Orientation, transform_rects_in_window
+
+
+#: Sort key giving the same order as ``Rect``'s own comparison, without
+#: calling the generated ``__lt__`` once per comparison.
+_ORDER = attrgetter("x0", "y0", "x1", "y1")
 
 
 class ClipLabel(Enum):
@@ -111,18 +117,24 @@ class Clip:
                 f"clip window must be {spec.clip_side} square, "
                 f"got {window.width}x{window.height}"
             )
-        clipped = [
-            r for r in (rect.intersection(window) for rect in rects) if r is not None
-        ]
+        wx0, wy0, wx1, wy1 = window.x0, window.y0, window.x1, window.y1
+        clipped = []
+        for rect in rects:
+            x0, y0, x1, y1 = rect.x0, rect.y0, rect.x1, rect.y1
+            if wx0 <= x0 and wy0 <= y0 and x1 <= wx1 and y1 <= wy1:
+                clipped.append(rect)  # inside the window: its own clip
+                continue
+            x0 = x0 if x0 > wx0 else wx0
+            y0 = y0 if y0 > wy0 else wy0
+            x1 = x1 if x1 < wx1 else wx1
+            y1 = y1 if y1 < wy1 else wy1
+            if x0 < x1 and y0 < y1:
+                clipped.append(Rect(x0, y0, x1, y1))
         # Layout geometry may overlap (GDSII union semantics); clips hold a
         # disjoint cover so density and tiling arithmetic stay exact.
-        if any(
-            a.overlaps(b)
-            for i, a in enumerate(clipped)
-            for b in clipped[i + 1 :]
-        ):
+        if any_overlap(clipped):
             clipped = disjoint_cover(clipped)
-        return Clip(window, spec, tuple(sorted(clipped)), label, layer)
+        return Clip(window, spec, tuple(sorted(clipped, key=_ORDER)), label, layer)
 
     # ------------------------------------------------------------------
     # regions

@@ -57,13 +57,15 @@ class RectIndex:
         """All rectangles overlapping ``window`` (positive shared area)."""
         seen: set[int] = set()
         out: list[Rect] = []
+        rects = self._rects
+        wx0, wy0, wx1, wy1 = window.x0, window.y0, window.x1, window.y1
         for key in self._bucket_keys(window):
             for rect_id in self._buckets.get(key, ()):
                 if rect_id in seen:
                     continue
                 seen.add(rect_id)
-                rect = self._rects[rect_id]
-                if rect.overlaps(window):
+                rect = rects[rect_id]
+                if rect.x0 < wx1 and wx0 < rect.x1 and rect.y0 < wy1 and wy0 < rect.y1:
                     out.append(rect)
         return out
 

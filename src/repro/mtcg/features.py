@@ -135,6 +135,24 @@ def extract_topological_features(
     ``compute="fast"`` routes the tiling sweeps and graph builds through
     :mod:`repro.mtcg.fastscan`; the output is bit-identical.
     """
+    return extract_tiled_features(
+        rects, window, diagonal_max_gap=diagonal_max_gap, compute=compute
+    )[0]
+
+
+def extract_tiled_features(
+    rects: Sequence[Rect],
+    window: Rect,
+    *,
+    diagonal_max_gap: Optional[int] = None,
+    compute: str = "exact",
+) -> tuple[list[RuleRect], Tiling, Tiling]:
+    """:func:`extract_topological_features` plus the two tilings it used.
+
+    Returns ``(features, horizontal tiling, vertical tiling)`` so a caller
+    that also needs the tilings (the nontopological features of
+    :mod:`repro.features.nontopo`) builds them once per window.
+    """
     # This is the hottest path in the pipeline (once per clip per schema
     # build); a full span per call would dominate the trace, so timings
     # aggregate into one tally — and only when tracing is on.  The tally
@@ -144,18 +162,18 @@ def extract_topological_features(
     fast = compute == "fast"
     if obs.enabled():
         started = time.perf_counter()
-        result = _extract_topological_features(rects, window, diagonal_max_gap, fast)
+        result = _extract_tiled_features(rects, window, diagonal_max_gap, fast)
         obs.tally("mtcg.features", time.perf_counter() - started)
         return result
-    return _extract_topological_features(rects, window, diagonal_max_gap, fast)
+    return _extract_tiled_features(rects, window, diagonal_max_gap, fast)
 
 
-def _extract_topological_features(
+def _extract_tiled_features(
     rects: Sequence[Rect],
     window: Rect,
     diagonal_max_gap: Optional[int],
     fast: bool = False,
-) -> list[RuleRect]:
+) -> tuple[list[RuleRect], Tiling, Tiling]:
     h_tiling = horizontal_tiling(rects, window, fast=fast)
     v_tiling = vertical_tiling(rects, window, fast=fast)
     ch = build_mtcg(
@@ -174,4 +192,4 @@ def _extract_topological_features(
     features.update(external_features(cv, window))
     features.update(diagonal_features(ch, window))
     features.update(segment_features(h_tiling, window))
-    return sorted(features)
+    return sorted(features), h_tiling, v_tiling

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from repro.errors import TilingError
 from repro.geometry.dissect import disjoint_cover, merge_vertical
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, any_overlap
 
 
 class TileKind(Enum):
@@ -76,16 +76,13 @@ class Tiling:
 
     def covers_window(self) -> bool:
         """Exactness check: tile areas sum to the window area, no overlap."""
-        total = 0
+        window = self.window
         rects = [t.rect for t in self.tiles]
-        for i, rect in enumerate(rects):
-            if not self.window.contains_rect(rect):
-                return False
-            total += rect.area
-            for other in rects[i + 1 :]:
-                if rect.overlaps(other):
-                    return False
-        return total == self.window.area
+        if not all(window.contains_rect(rect) for rect in rects):
+            return False
+        if sum(rect.area for rect in rects) != window.area:
+            return False
+        return not any_overlap(rects)
 
 
 def _clip_blocks(rects: Sequence[Rect], window: Rect) -> list[Rect]:
@@ -95,11 +92,7 @@ def _clip_blocks(rects: Sequence[Rect], window: Rect) -> list[Rect]:
     semantics); the tiling operates on the union's disjoint cover.
     """
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if any(
-        a.overlaps(b)
-        for i, a in enumerate(clipped)
-        for b in clipped[i + 1 :]
-    ):
+    if any_overlap(clipped):
         clipped = disjoint_cover(clipped)
     return clipped
 

@@ -8,6 +8,7 @@ from repro.data.benchmarks import (
     ICCAD_SPEC,
     benchmark_config,
     generate_benchmark,
+    generate_testing_layout,
     generate_training_set,
 )
 from repro.data.patterns import (
@@ -208,6 +209,78 @@ class TestBenchmarks:
         bench = generate_benchmark("benchmark5", scale=0.4)
         for site in bench.testing.sites:
             assert bench.testing.window.contains_rect(site.core)
+
+
+class TestTestingLayoutRng:
+    """``generate_testing_layout(rng=...)`` honours the caller's generator.
+
+    benchmark1 at scale 0.1 does not fit its first window, so these
+    layouts come from the retry loop that grows the window.
+    """
+
+    @staticmethod
+    def _layout_key(testing):
+        return (
+            testing.window,
+            sorted(testing.layout.layer(1).rects),
+            [(site.core, site.hotspot) for site in testing.sites],
+        )
+
+    def _generate(self, rng, scale=0.1):
+        return generate_testing_layout(benchmark_config("benchmark1"), scale, rng=rng)
+
+    def test_same_seed_same_layout(self):
+        a = self._generate(np.random.default_rng(7))
+        b = self._generate(np.random.default_rng(7))
+        assert self._layout_key(a) == self._layout_key(b)
+
+    def test_different_seeds_differ(self):
+        a = self._generate(np.random.default_rng(7))
+        b = self._generate(np.random.default_rng(8))
+        assert self._layout_key(a) != self._layout_key(b)
+
+    def test_retry_restarts_from_callers_state(self):
+        """The layout is the one a fresh copy of the caller's generator
+        builds in the final (grown) window: failed attempts leave no trace."""
+        config = benchmark_config("benchmark1")
+        scale = 0.1
+        testing = self._generate(np.random.default_rng(7), scale)
+        assert testing.window.width > int(config.side_um * 1000 * scale**0.5)
+        rebuilt = build_testing_layout(
+            np.random.default_rng(7),
+            ICCAD_SPEC,
+            testing.window,
+            hotspot_count=max(2, round(config.test_hotspots * scale)),
+            decoy_count=max(1, round(config.test_decoys * scale)),
+            motif_names=config.motifs,
+            fabric_fill=config.fabric_fill,
+        )
+        assert self._layout_key(testing) == self._layout_key(rebuilt)
+
+    def test_default_is_the_config_seeded_generator(self):
+        config = benchmark_config("benchmark1")
+        default = self._generate(None)
+        explicit = self._generate(np.random.default_rng(config.seed + 1_000))
+        assert self._layout_key(default) == self._layout_key(explicit)
+
+    def test_default_matches_committed_golden(self):
+        """``rng=None`` still yields the layout the golden corpus pins."""
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "fixtures" / "golden"
+        spec = importlib.util.spec_from_file_location(
+            "golden_generate", golden / "generate.py"
+        )
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        for name, scale in generate.CASES:
+            testing = generate_testing_layout(benchmark_config(name), scale)
+            pinned = json.loads(generate.golden_path(name, scale).read_text())
+            assert generate.rects_sha256(testing.layout.layer(1).rects) == (
+                pinned["inputs"]["testing_layout_sha256"]
+            )
 
 
 class TestMultilayerData:
