@@ -111,7 +111,7 @@ def _corners_covered(core: Rect, others: Sequence[Rect]) -> bool:
     )
 
 
-def _polygons_covered(clip: Clip, others: Sequence[Clip]) -> bool:
+def _polygons_covered(clip: Clip, other_cores: Sequence[Rect]) -> bool:
     """Whether all polygons in ``clip``'s core appear in other cores.
 
     Each core geometry piece must be fully contained in the union of the
@@ -121,7 +121,6 @@ def _polygons_covered(clip: Clip, others: Sequence[Clip]) -> bool:
     pieces = clip.core_rects()
     if not pieces:
         return True
-    other_cores = [other.core for other in others]
     return all(
         any(core.contains_rect(piece) for core in other_cores) for piece in pieces
     )
@@ -142,20 +141,29 @@ def discard_redundant(reports: list[Clip]) -> list[Clip]:
     then-survivors.
     """
     survivors = list(reports)
+    # ``Clip.core`` builds a new Rect per read; read each one once.
+    cores = [clip.core for clip in reports]
+    core_of = {id(clip): core for clip, core in zip(reports, cores)}
 
     def overlap_degree(clip: Clip) -> int:
-        return sum(1 for other in reports if other.core.overlaps(clip.core)) - 1
+        core = core_of[id(clip)]
+        return sum(1 for other in cores if other.overlaps(core)) - 1
 
     for clip in sorted(reports, key=overlap_degree, reverse=True):
         if len(survivors) <= 1:
             break
         if clip not in survivors:
             continue
-        others = [n for n in survivors if n is not clip and n.core.overlaps(clip.core)]
+        core = core_of[id(clip)]
+        other_cores = [
+            core_of[id(n)]
+            for n in survivors
+            if n is not clip and core_of[id(n)].overlaps(core)
+        ]
         if (
-            others
-            and _corners_covered(clip.core, [n.core for n in others])
-            and _polygons_covered(clip, others)
+            other_cores
+            and _corners_covered(core, other_cores)
+            and _polygons_covered(clip, other_cores)
         ):
             survivors.remove(clip)
     return survivors

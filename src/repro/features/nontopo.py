@@ -138,22 +138,10 @@ def min_spacing_from_tilings(
     return min(values) if values else default
 
 
-def extract_nontopo_features(
-    rects: Sequence[Rect], window: Rect, *, compute: str = "exact"
-) -> NonTopoFeatures:
-    """Compute all five nontopological features for a pattern window.
-
-    ``compute="fast"`` uses the vectorized quadrant probes and tiling
-    sweeps of :mod:`repro.mtcg.fastscan`; all five values are integer or
-    exactly-derived, so the two modes agree bit for bit.
-    """
-    fast = compute == "fast"
+def extract_nontopo_features(rects: Sequence[Rect], window: Rect) -> NonTopoFeatures:
+    """Compute all five nontopological features for a pattern window."""
     return nontopo_from_tilings(
-        rects,
-        window,
-        horizontal_tiling(rects, window, fast=fast),
-        vertical_tiling(rects, window, fast=fast),
-        compute=compute,
+        rects, window, horizontal_tiling(rects, window), vertical_tiling(rects, window)
     )
 
 
@@ -162,8 +150,6 @@ def nontopo_from_tilings(
     window: Rect,
     h_tiling: Tiling,
     v_tiling: Tiling,
-    *,
-    compute: str = "exact",
 ) -> NonTopoFeatures:
     """:func:`extract_nontopo_features` over tilings already built.
 
@@ -173,12 +159,7 @@ def nontopo_from_tilings(
     :func:`extract_nontopo_features`.
     """
     clipped = [r for r in (rect.intersection(window) for rect in rects) if r]
-    if compute == "fast":
-        from repro.mtcg.fastscan import corner_and_touch_counts as _fast_counts
-
-        corners, touches = _fast_counts(clipped, window)
-    else:
-        corners, touches = corner_and_touch_counts(clipped, window)
+    corners, touches = corner_and_touch_counts(clipped, window)
     default = max(window.width, window.height)
     return NonTopoFeatures(
         corner_count=corners,

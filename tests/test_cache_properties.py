@@ -24,11 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import HotspotCache, cache_canonical, clip_content_key
-from repro.cache.keys import feature_fingerprint
+from repro.cache.keys import feature_fingerprint, model_fingerprint
+from repro.core.training import MultiKernelModel
 from repro.features.vector import FeatureConfig, FeatureExtractor
 from repro.geometry.rect import Rect
 from repro.geometry.transform import ALL_ORIENTATIONS
 from repro.layout.clip import Clip, ClipSpec
+from repro.topology.cluster import TopologicalClassifier
 from repro.topology.strings import canonical_string_key
 
 SPEC = ClipSpec(core_side=400, clip_side=1200)
@@ -110,6 +112,34 @@ class TestKeyAlgebra:
         a = Clip.build(window, SPEC, rects)
         b = Clip.build(window, other_spec, rects)
         assert clip_content_key(a) != clip_content_key(b)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"region": "clip"},
+            {"diagonal_max_gap": 300},
+            {"canonical_orientation": False},
+            {"include_density_grid": True},
+        ],
+    )
+    def test_namespaces_split_on_every_feature_config_field(self, changed):
+        # Features and margins extracted under one config must never be
+        # served under another: both fingerprints cover the whole config.
+        def model(config):
+            return MultiKernelModel(
+                kernels=[],
+                hotspot_clips=[],
+                hotspot_clusters=[],
+                nonhotspot_centroids=[],
+                extractor=FeatureExtractor(config),
+                classifier=TopologicalClassifier(),
+            )
+
+        base, other = FeatureConfig(), FeatureConfig(**changed)
+        assert feature_fingerprint(base) == feature_fingerprint(FeatureConfig())
+        assert feature_fingerprint(base) != feature_fingerprint(other)
+        assert model_fingerprint(model(base)) == model_fingerprint(model(FeatureConfig()))
+        assert model_fingerprint(model(base)) != model_fingerprint(model(other))
 
 
 class TestTheoremOneCoupling:

@@ -61,6 +61,39 @@ class TestPersistence:
             detector.feedback_.margins(probe), loaded.feedback_.margins(probe)
         )
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_archive_with_stored_compute_mode_loads(
+        self, trained, small_benchmark, tmp_path, mode
+    ):
+        # Archives written before the compute option was removed store a
+        # "compute" entry in each feature config; it is dropped on load.
+        from repro.serve.registry import ModelRegistry
+
+        path = tmp_path / "old.npz"
+        save_detector(trained, path)
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["features"]["compute"] = mode
+        if meta["feedback"] is not None:
+            meta["feedback"]["features"]["compute"] = mode
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+        layout = small_benchmark.testing.layout
+
+        def cores(detector):
+            return [
+                (c.core.x0, c.core.y0, c.core.x1, c.core.y1)
+                for c in detector.detect(layout).reports
+            ]
+
+        expected = cores(trained)
+        assert expected
+        assert cores(load_detector(path)) == expected
+        entry = ModelRegistry().load(path, name="old")
+        assert cores(entry.detector) == expected
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
